@@ -6,7 +6,9 @@ host capacity may exceed the cluster actually placed on it (a
 Routes are static and deterministic — D-mod-k for the fat tree, minimal
 (direct-gateway) paths for the dragonfly, dimension-order with shortest
 wrap for the torus — so two runs of one workload traverse identical
-links in identical order.
+links in identical order. Building costs O(links): each generator
+indexes its vertices by coordinates and installs a next-hop rule, and
+only the pairs actually routed are ever walked.
 
 Link ``bandwidth``/``latency`` default to ``None`` and inherit the
 fabric's :class:`~repro.netsim.config.FabricParams` per hop at bind
@@ -17,12 +19,32 @@ the host NIC links.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from ...errors import TopologyError
-from .graph import Topology, host_vertex
+from .graph import Link, Topology, host_vertex
 
 __all__ = ["fat_tree", "dragonfly", "torus"]
+
+
+def _attach_hosts(topo: Topology, switch_of: Callable[[int], str],
+                  bandwidth: Optional[float],
+                  latency: Optional[float]) -> dict[str, Link]:
+    """Join every host ``h`` to switch ``switch_of(h)``; the host uplinks."""
+    return {host_vertex(h): topo.add_duplex(host_vertex(h), switch_of(h),
+                                            bandwidth, latency)[0]
+            for h in range(topo.num_hosts)}
+
+
+def _route_with(topo: Topology, uplinks: dict[str, Link],
+                toward: Callable[[str, int], str]) -> Topology:
+    """Install the rule: hosts take their uplink, and a switch takes the
+    link to ``toward(switch, dst)``, the next vertex toward host ``dst``."""
+    def next_hop(vertex: str, dst: int) -> Link:
+        up = uplinks.get(vertex)
+        return up if up is not None else topo.link(vertex, toward(vertex, dst))
+    topo.set_next_hop_rule(next_hop)
+    return topo
 
 
 def fat_tree(k: int, bandwidth: Optional[float] = None,
@@ -52,16 +74,19 @@ def fat_tree(k: int, bandwidth: Optional[float] = None,
     def core_name(c: int) -> str:
         return f"core{c}"
 
+    # switch -> (tier, pod, index within the pod; core: core number)
+    where: dict[str, tuple[str, int, int]] = {}
     for p in range(k):
         for i in range(half):
-            topo.add_switch(edge_name(p, i))
-            topo.add_switch(agg_name(p, i))
+            where[topo.add_switch(edge_name(p, i))] = ("e", p, i)
+            where[topo.add_switch(agg_name(p, i))] = ("a", p, i)
     for c in range(half * half):
-        topo.add_switch(core_name(c))
+        where[topo.add_switch(core_name(c))] = ("c", 0, c)
 
-    for host in range(capacity):
-        p, e = host // hosts_per_pod, (host % hosts_per_pod) // half
-        topo.add_duplex(host_vertex(host), edge_name(p, e), bandwidth, latency)
+    uplinks = _attach_hosts(
+        topo, lambda h: edge_name(h // hosts_per_pod,
+                                  (h % hosts_per_pod) // half),
+        bandwidth, latency)
     for p in range(k):
         for e in range(half):
             for a in range(half):
@@ -72,37 +97,21 @@ def fat_tree(k: int, bandwidth: Optional[float] = None,
                 topo.add_duplex(agg_name(p, a), core_name(c),
                                 bandwidth, latency)
 
-    for dst in range(capacity):
+    def toward(switch: str, dst: int) -> str:
+        tier, p, i = where[switch]
         dp = dst // hosts_per_pod
         de = (dst % hosts_per_pod) // half
-        # D-mod-k port selection for the two up-hops.
-        up_agg = dst % half
-        up_core_off = (dst // half) % half
-        for host in range(capacity):
-            if host == dst:
-                continue
-            p, e = host // hosts_per_pod, (host % hosts_per_pod) // half
-            topo.set_next_hop(host_vertex(host), dst,
-                              topo.link(host_vertex(host), edge_name(p, e)))
-        for p in range(k):
-            for e in range(half):
-                ename = edge_name(p, e)
-                if p == dp and e == de:
-                    nxt = topo.link(ename, host_vertex(dst))
-                else:
-                    nxt = topo.link(ename, agg_name(p, up_agg))
-                topo.set_next_hop(ename, dst, nxt)
-            for a in range(half):
-                aname = agg_name(p, a)
-                if p == dp:
-                    nxt = topo.link(aname, edge_name(p, de))
-                else:
-                    nxt = topo.link(aname, core_name(a * half + up_core_off))
-                topo.set_next_hop(aname, dst, nxt)
-        for c in range(half * half):
-            topo.set_next_hop(core_name(c), dst,
-                              topo.link(core_name(c), agg_name(dp, c // half)))
-    return topo
+        if tier == "e":
+            if p == dp and i == de:
+                return host_vertex(dst)
+            return agg_name(p, dst % half)  # D-mod-k up-port
+        if tier == "a":
+            if p == dp:
+                return edge_name(p, de)
+            return core_name(i * half + (dst // half) % half)
+        return agg_name(dp, i // half)
+
+    return _route_with(topo, uplinks, toward)
 
 
 def dragonfly(a: int, p: int, h: int, bandwidth: Optional[float] = None,
@@ -133,12 +142,13 @@ def dragonfly(a: int, p: int, h: int, bandwidth: Optional[float] = None,
         """Router in ``src_g`` owning the global link toward ``dst_g``."""
         return port_toward(src_g, dst_g) // h
 
+    where: dict[str, tuple[int, int]] = {}
     for g in range(groups):
         for r in range(a):
-            topo.add_switch(router(g, r))
-    for host in range(capacity):
-        g, r = host // (a * p), (host % (a * p)) // p
-        topo.add_duplex(host_vertex(host), router(g, r), bandwidth, latency)
+            where[topo.add_switch(router(g, r))] = (g, r)
+    uplinks = _attach_hosts(
+        topo, lambda host: router(host // (a * p), (host % (a * p)) // p),
+        bandwidth, latency)
     for g in range(groups):
         for r1 in range(a):
             for r2 in range(r1 + 1, a):
@@ -150,30 +160,15 @@ def dragonfly(a: int, p: int, h: int, bandwidth: Optional[float] = None,
                             router(g2, gateway(g2, g1)),
                             bandwidth, latency)
 
-    for dst in range(capacity):
+    def toward(switch: str, dst: int) -> str:
+        g, r = where[switch]
         dg, dr = dst // (a * p), (dst % (a * p)) // p
-        for host in range(capacity):
-            if host == dst:
-                continue
-            g, r = host // (a * p), (host % (a * p)) // p
-            topo.set_next_hop(host_vertex(host), dst,
-                              topo.link(host_vertex(host), router(g, r)))
-        for g in range(groups):
-            for r in range(a):
-                rname = router(g, r)
-                if g == dg:
-                    if r == dr:
-                        nxt = topo.link(rname, host_vertex(dst))
-                    else:
-                        nxt = topo.link(rname, router(g, dr))
-                else:
-                    gw = gateway(g, dg)
-                    if r == gw:
-                        nxt = topo.link(rname, router(dg, gateway(dg, g)))
-                    else:
-                        nxt = topo.link(rname, router(g, gw))
-                topo.set_next_hop(rname, dst, nxt)
-    return topo
+        if g == dg:
+            return host_vertex(dst) if r == dr else router(g, dr)
+        gw = gateway(g, dg)
+        return router(dg, gateway(dg, g)) if r == gw else router(g, gw)
+
+    return _route_with(topo, uplinks, toward)
 
 
 def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
@@ -200,12 +195,6 @@ def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
             index //= d
         return tuple(reversed(out))
 
-    def index(coord: tuple[int, ...]) -> int:
-        out = 0
-        for c, d in zip(coord, dims):
-            out = out * d + c
-        return out
-
     def switch(coord: tuple[int, ...]) -> str:
         return "s" + "_".join(map(str, coord))
 
@@ -222,16 +211,15 @@ def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
         return out
 
     all_coords = [coords(i) for i in range(capacity)]
-    for coord in all_coords:
-        topo.add_switch(switch(coord))
-    for i, coord in enumerate(all_coords):
-        topo.add_duplex(host_vertex(i), switch(coord), bandwidth, latency)
+    where = {topo.add_switch(switch(coord)): coord for coord in all_coords}
+    uplinks = _attach_hosts(topo, lambda host: switch(all_coords[host]),
+                            bandwidth, latency)
     for coord in all_coords:
         for nb in neighbors(coord):
             topo.add_link(switch(coord), switch(nb), bandwidth, latency)
 
-    def step_toward(coord: tuple[int, ...],
-                    goal: tuple[int, ...]) -> tuple[int, ...]:
+    def toward(sname: str, dst: int) -> str:
+        coord, goal = where[sname], all_coords[dst]
         for axis, n in enumerate(dims):
             if coord[axis] == goal[axis]:
                 continue
@@ -240,22 +228,7 @@ def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
             step = 1 if forward <= backward else n - 1
             nxt = list(coord)
             nxt[axis] = (coord[axis] + step) % n
-            return tuple(nxt)
-        return coord
+            return switch(tuple(nxt))
+        return host_vertex(dst)
 
-    for dst in range(capacity):
-        goal = all_coords[dst]
-        for host in range(capacity):
-            if host == dst:
-                continue
-            topo.set_next_hop(
-                host_vertex(host), dst,
-                topo.link(host_vertex(host), switch(all_coords[host])))
-        for coord in all_coords:
-            sname = switch(coord)
-            if coord == goal:
-                nxt = topo.link(sname, host_vertex(dst))
-            else:
-                nxt = topo.link(sname, switch(step_toward(coord, goal)))
-            topo.set_next_hop(sname, dst, nxt)
-    return topo
+    return _route_with(topo, uplinks, toward)

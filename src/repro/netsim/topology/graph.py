@@ -1,9 +1,9 @@
 """The interconnect graph: hosts, switches, directed links, static routes.
 
 A :class:`Topology` is a pure description — vertices, directed
-:class:`Link` objects, and a next-hop table mapping ``(vertex, dst
-host)`` to the link to take. Generators (:mod:`.generators`) build these
-tables offline; the :class:`~repro.netsim.topology.routed.RoutedFabric`
+:class:`Link` objects, and a next-hop table or rule giving, per
+``(vertex, dst host)``, the link to take. Generators (:mod:`.generators`)
+install rules; the :class:`~repro.netsim.topology.routed.RoutedFabric`
 then *binds* the topology to a simulator, giving every link a
 :class:`~repro.sim.resources.FIFOServer` so per-link serialization and
 queueing accrue as messages traverse it.
@@ -11,13 +11,13 @@ queueing accrue as messages traverse it.
 Hosts are the fabric's node ids (``0 .. num_hosts-1``) and appear in the
 graph as vertices named ``h<i>``; switches carry generator-chosen names
 (``pod0.edge1``, ``core3``, ...). Routes are *static and deterministic*:
-one path per (src, dst) pair, computed once and cached, so simulated
-timings stay reproducible byte-for-byte.
+one path per (src, dst) pair, computed on first use and cached, so
+simulated timings stay reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ...errors import TopologyError
 from ...sim.core import Simulator
@@ -65,16 +65,17 @@ class Link:
 class Topology:
     """A named interconnect graph with per-destination next-hop routes.
 
-    Construction protocol (used by the generators)::
+    Construction protocol::
 
         topo = Topology("fat_tree(k=4)", num_hosts=16)
         topo.add_switch("pod0.edge0")
         link = topo.add_link("h0", "pod0.edge0")
-        topo.set_next_hop("h0", dst=5, link=link)
+        topo.set_next_hop("h0", dst=5, link=link)   # and/or a rule:
+        topo.set_next_hop_rule(lambda vertex, dst: link)
 
-    ``route(src, dst)`` then walks the next-hop table into a tuple of
-    links, validating on the way that the path terminates at the
-    destination host without revisiting a vertex.
+    ``route(src, dst)`` then walks the next hops (table entry first,
+    else the rule) into a tuple of links, validating on the way that the
+    path terminates at the destination host without revisiting a vertex.
     """
 
     def __init__(self, name: str, num_hosts: int):
@@ -86,6 +87,7 @@ class Topology:
         self._vertices: set[str] = {host_vertex(i) for i in range(num_hosts)}
         self._links: dict[str, Link] = {}
         self._next_hop: dict[tuple[str, int], Link] = {}
+        self._rule: Optional[Callable[[str, int], Optional[Link]]] = None
         self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
         self._bound = False
 
@@ -125,6 +127,13 @@ class Topology:
                 f"next hop at {vertex!r} must leave that vertex, got {link.name}")
         self._next_hop[(vertex, dst)] = link
 
+    def set_next_hop_rule(
+            self, rule: Callable[[str, int], Optional[Link]]) -> None:
+        """Route with ``rule(vertex, dst) -> link`` (or ``None``) wherever
+        the table has no entry; evaluated lazily, one hop at a time, the
+        first time :meth:`route` walks a pair."""
+        self._rule = rule
+
     # -- introspection --------------------------------------------------
     def links(self) -> Iterator[Link]:
         """All links, in deterministic (name-sorted) order."""
@@ -152,8 +161,9 @@ class Topology:
     def route(self, src: int, dst: int) -> tuple[Link, ...]:
         """The static path from host ``src`` to host ``dst`` as links.
 
-        Cached per pair. ``src == dst`` yields the empty path. Raises
-        :class:`~repro.errors.TopologyError` on missing next hops, paths
+        Computed on first use and cached per pair. ``src == dst`` yields
+        the empty path. Raises :class:`~repro.errors.TopologyError` on
+        missing next hops, hops that do not leave their vertex, paths
         that revisit a vertex (routing loop), or paths that end anywhere
         but the destination host.
         """
@@ -172,10 +182,16 @@ class Topology:
         visited = {vertex}
         while vertex != goal:
             link = self._next_hop.get((vertex, dst))
+            if link is None and self._rule is not None:
+                link = self._rule(vertex, dst)
             if link is None:
                 raise TopologyError(
                     f"{self.name}: no next hop toward host {dst} "
                     f"at {vertex!r}")
+            if link.src != vertex:
+                raise TopologyError(
+                    f"{self.name}: next hop at {vertex!r} must leave that "
+                    f"vertex, got {link.name}")
             path.append(link)
             vertex = link.dst
             if vertex in visited:
@@ -188,7 +204,7 @@ class Topology:
         return result
 
     def validate(self) -> None:
-        """Check every host pair routes successfully (O(hosts²) walks)."""
+        """Walk and check every host pair's route (O(hosts²) walks)."""
         for src in range(self.num_hosts):
             for dst in range(self.num_hosts):
                 self.route(src, dst)

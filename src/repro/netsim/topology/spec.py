@@ -102,7 +102,8 @@ class ClusterSpec:
     network pricing (``network``, a
     :class:`~repro.netsim.config.NetworkConfig`). Topology parameters
     are validated eagerly — an unknown name or an undersized topology
-    fails at spec construction, not mid-run.
+    fails at spec construction, not mid-run. That builds only switches
+    and links; a route is computed when a run first uses it.
 
     One spec builds one world: the topology object carries per-link
     queue state once bound, so :meth:`build_topology` returns a fresh
@@ -125,8 +126,8 @@ class ClusterSpec:
         self.topology = topology
         self.network = network or NetworkConfig()
         self.params = dict(params)
-        # Fail fast: building the graph validates the generator
-        # parameters and the capacity against `nodes`.
+        # Fail fast: building the graph (O(links); routes stay lazy)
+        # validates the generator parameters and capacity vs `nodes`.
         self.build_topology()
 
     def build_topology(self) -> Optional[Topology]:

@@ -94,8 +94,9 @@ class ScenarioSpec:
                 f"app {self.app!r} has no mechanism {self.mechanism!r}; "
                 f"choose from {adapter.mechanisms}")
         try:
-            # Builds (and discards) the topology graph: validates the
-            # generator parameters and host capacity eagerly.
+            # Builds (and discards) the topology's switches and links,
+            # O(links): validates the generator parameters and host
+            # capacity eagerly. Routes are not walked here.
             ClusterSpec(nodes=self.nodes, threads_per_proc=self.threads,
                         topology=self.topology, **self.topology_params)
         except TopologyError as exc:

@@ -3,6 +3,8 @@ generators, routing, the RoutedFabric, per-communicator collective
 algorithm selection, and byte-identity of the ``direct`` topology with
 the legacy single-hop fabric."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -239,6 +241,92 @@ def test_route_errors_are_typed():
         topo.route(0, 5)
     with pytest.raises(TopologyError, match="no next hop"):
         topo.route(0, 1)
+
+
+#: sha256 of every generator route in ROUTE_GRID, recorded from the
+#: eagerly tabulated routes the generators built before they switched to
+#: lazy next-hop rules. Routes are simulated observables: any change here
+#: changes link queueing, timings and state digests.
+ROUTE_GRID_SHA256 = \
+    "687b544f3d46a07a32fadec845cd940e4f9ed366ec64f9c2ccf3ff042ceb2099"
+ROUTE_GRID = (
+    [(fat_tree, (k,)) for k in (2, 4, 6)]
+    + [(dragonfly, c) for c in ((4, 2, 2), (2, 1, 1), (3, 2, 1))]
+    + [(torus, (d,)) for d in ((2, 2), (4, 4), (3, 3, 3), (5,), (1, 3))])
+
+
+def test_generator_routes_are_pinned():
+    digest = hashlib.sha256()
+    for generator, args in ROUTE_GRID:
+        topo = generator(*args)
+        digest.update(f"{topo.name}\n".encode())
+        for src in range(topo.num_hosts):
+            for dst in range(topo.num_hosts):
+                names = " ".join(link.name for link in topo.route(src, dst))
+                digest.update(f"{src} {dst} {names}\n".encode())
+    assert digest.hexdigest() == ROUTE_GRID_SHA256
+
+
+def test_generator_routing_is_lazy(monkeypatch):
+    """Building evaluates no next hop; one route evaluates one per hop."""
+    calls = []
+    install = Topology.set_next_hop_rule
+
+    def counting(self, rule):
+        install(self, lambda vertex, dst: calls.append(vertex) or
+                rule(vertex, dst))
+
+    monkeypatch.setattr(Topology, "set_next_hop_rule", counting)
+    topo = dragonfly(4, 2, 2)
+    assert topo.num_hosts == 72 and calls == []
+    path = topo.route(0, 71)
+    assert 0 < len(calls) <= len(path)
+    evaluated = len(calls)
+    assert topo.route(0, 71) is path and len(calls) == evaluated
+
+
+def _line(n):
+    """Hosts h0..h{n-1} on a chain of switches s0..s{n-1}, all duplex."""
+    topo = Topology("line", num_hosts=n)
+    for i in range(n):
+        topo.add_switch(f"s{i}")
+        topo.add_duplex(host_vertex(i), f"s{i}")
+        if i:
+            topo.add_duplex(f"s{i - 1}", f"s{i}")
+    return topo
+
+
+def test_rule_routing_errors_are_typed():
+    topo = _line(3)
+    topo.set_next_hop_rule(lambda vertex, dst: topo.link("s1", "s2"))
+    with pytest.raises(TopologyError, match="must leave that vertex"):
+        topo.route(0, 2)
+
+    topo = _line(3)
+    bounce = {"h0": "s0", "s0": "s1", "s1": "s0"}
+    topo.set_next_hop_rule(
+        lambda vertex, dst: topo.link(vertex, bounce[vertex]))
+    with pytest.raises(TopologyError, match="routing loop"):
+        topo.route(0, 2)
+
+    # Overshoots to host 2 on the way to host 1: nothing routes onward.
+    topo = _line(3)
+    hops = {"h0": "s0", "s0": "s1", "s1": "s2", "s2": "h2"}
+    topo.set_next_hop_rule(
+        lambda vertex, dst: topo.link(vertex, hops[vertex])
+        if vertex in hops else None)
+    with pytest.raises(TopologyError, match="no next hop toward host 1 at 'h2'"):
+        topo.route(0, 1)
+
+
+def test_explicit_next_hop_overrides_rule():
+    default = fat_tree(4).route(0, 15)
+    up_agg = default[1].dst  # the D-mod-k up-port toward host 15
+    detour = "p0.a1" if up_agg == "p0.a0" else "p0.a0"
+    topo = fat_tree(4)
+    topo.set_next_hop("p0.e0", 15, topo.link("p0.e0", detour))
+    path = topo.route(0, 15)
+    assert path[1].dst == detour and path[-1].dst == host_vertex(15)
 
 
 # ---------------------------------------- per-comm algorithm selection
