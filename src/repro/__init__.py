@@ -31,6 +31,15 @@ simulator, everything the paper's comparison rests on:
   ``World(faults=FaultPlan(drop=0.05))``, or use ``python -m repro
   faults``.
 
+Start-up cost: ``import repro`` loads only the simulation core, the Fig 1(a)
+driver :mod:`repro.bench.msgrate` and what it needs (:mod:`repro.sim`,
+:mod:`repro.mpi`, :mod:`repro.netsim`, :mod:`repro.runtime`,
+:mod:`repro.obs`, :mod:`repro.mapping`). The tooling names in ``__all__``
+-- the scenario/campaign API and the fault-plan classes -- are resolved on
+first access, as are the checker, snapshot-tooling and sweep names of
+:mod:`repro.check`, :mod:`repro.snap` and :mod:`repro.bench`. See
+``docs/performance.md`` ("Start-up: what ``import repro`` loads").
+
 Quick start::
 
     import numpy as np
@@ -49,6 +58,9 @@ Quick start::
                    world.procs[1].spawn(rank1(world.procs[1]))])
 """
 
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from .errors import (
     FaultPlanError,
     HintViolationError,
@@ -61,18 +73,29 @@ from .errors import (
     TransportError,
     TruncationError,
 )
-from .faults import FaultPlan, TransportParams
 from .mpi import ANY_SOURCE, ANY_TAG, Communicator, Info, Request, Status
 from .mpi.endpoints import Endpoint, comm_create_endpoints
-from .mpi.partitioned import precv_init, psend_init
-from .mpi.rma import win_create
 from .netsim import ClusterSpec, NetworkConfig, register_topology
 from .netsim.traffic import TrafficShape
 from .obs import MetricsRegistry, export_chrome_trace
 from .runtime import MpiProcess, Node, World
-from .scenarios import ScenarioSpec, run_campaign, run_scenario, \
-    sample_scenarios
 from .sim.trace import TraceCategory, Tracer
+from . import bench  # noqa: F401  (loads the Fig 1(a) driver, bench.msgrate)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .faults import FaultPlan, TransportParams
+    from .mpi.partitioned import precv_init, psend_init
+    from .mpi.rma import win_create
+    from .scenarios import ScenarioSpec, run_campaign, run_scenario, \
+        sample_scenarios
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".faults": ("FaultPlan", "TransportParams"),
+    ".mpi.partitioned": ("precv_init", "psend_init"),
+    ".mpi.rma": ("win_create",),
+    ".scenarios": ("ScenarioSpec", "run_campaign", "run_scenario",
+                   "sample_scenarios"),
+})
 
 __version__ = "1.0.0"
 

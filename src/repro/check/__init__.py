@@ -20,19 +20,39 @@ Two sides, one rule catalog (:mod:`repro.check.rules`):
 
 See ``docs/checking.md`` and ``docs/static-analysis.md`` for the rule
 catalogs and suppression syntax.
+
+The package imports only the session registry a ``World`` consults; the
+dynamic checker, the rule catalog, the report types, the lint and the
+static analyzer load on first access to one of their names, so a
+``World`` built without ``check=`` never imports them.
 """
 
 from __future__ import annotations
 
-from .checker import CheckConfig, Checker
-from .lint import Finding, run_lint
-from .report import CheckReport, CheckWarning, Violation
-from .rules import ALL_RULES, CHK_EQUIVALENT, DYNAMIC_RULES, LINT_RULES, \
-    STATIC_FOR_DYNAMIC, STATIC_RULES, Rule, rule
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .session import checking, collect_report, default_check, \
     set_default_check
-from .static_ import StaticFinding, StaticReport, analyze_path, \
-    analyze_paths, analyze_source, to_sarif
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .checker import CheckConfig, Checker
+    from .lint import Finding, run_lint
+    from .report import CheckReport, CheckWarning, Violation
+    from .rules import ALL_RULES, CHK_EQUIVALENT, DYNAMIC_RULES, \
+        LINT_RULES, STATIC_FOR_DYNAMIC, STATIC_RULES, Rule, rule
+    from .static_ import StaticFinding, StaticReport, analyze_path, \
+        analyze_paths, analyze_source, to_sarif
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checker": ("CheckConfig", "Checker"),
+    ".lint": ("Finding", "run_lint"),
+    ".report": ("CheckReport", "CheckWarning", "Violation"),
+    ".rules": ("ALL_RULES", "CHK_EQUIVALENT", "DYNAMIC_RULES", "LINT_RULES",
+               "STATIC_FOR_DYNAMIC", "STATIC_RULES", "Rule", "rule"),
+    ".static_": ("StaticFinding", "StaticReport", "analyze_path",
+                 "analyze_paths", "analyze_source", "to_sarif"),
+})
 
 __all__ = [
     "CheckConfig",

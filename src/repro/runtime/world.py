@@ -20,15 +20,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, \
+    Optional
 
-from ..check.checker import CheckConfig, Checker
-from ..check.report import CheckReport
 from ..check.session import default_check
 from ..errors import MpiUsageError
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
-from ..faults.transport import ReliableTransport, TransportParams
 from ..mpi.comm import Communicator
 from ..mpi.library import MpiLibrary
 from ..netsim.config import NetworkConfig
@@ -44,6 +40,13 @@ from ..sim.random import RandomStreams
 from ..sim.sync import Gate
 from ..sim.trace import Tracer
 from ..snap.session import default_snap_controller
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..check.checker import CheckConfig, Checker
+    from ..check.report import CheckReport
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import FaultPlan
+    from ..faults.transport import TransportParams
 
 __all__ = ["Node", "MpiProcess", "World"]
 
@@ -207,10 +210,11 @@ class World:
         # object exists so every task spawn is observed.
         if check is None:
             check = default_check()
-        if check is True:
-            check = CheckConfig()
         self.checker: Optional[Checker] = None
         if check:
+            from ..check.checker import CheckConfig, Checker
+            if check is True:
+                check = CheckConfig()
             self.checker = Checker(self.sim, check)
             self.sim.checker = self.checker
         # `is None`, not truthiness: both instruments are falsy when empty.
@@ -265,12 +269,14 @@ class World:
         self.injector: Optional[FaultInjector] = None
         self.transport_params: Optional[TransportParams] = None
         if faults is not None:
+            from ..faults.injector import FaultInjector
             self.injector = FaultInjector(faults, seed=seed)
             self.injector.bind(self.metrics, self.tracer)
             self.fabric.injector = self.injector
             for node in self.nodes:
                 node.nic.attach_fault_injector(self.injector)
         if faults is not None or transport is not None:
+            from ..faults.transport import ReliableTransport, TransportParams
             self.transport_params = transport or TransportParams()
             for proc in self.procs:
                 proc.lib.transport = ReliableTransport(
@@ -429,6 +435,7 @@ class World:
         ``check=`` the report is trivially clean.
         """
         if self.checker is None:
+            from ..check.report import CheckReport
             return CheckReport([], mode="warn")
         return self.checker.finalize()
 

@@ -29,11 +29,14 @@ orchestrator rebuild its queue from job manifests plus the result cache.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 import time
 from typing import Any, Callable
 
-from ..errors import ServeError
+from ..bench.msgrate import MsgRateConfig, run_msgrate
+from ..errors import MpiUsageError, ServeError
 
 __all__ = ["POINT_KINDS", "JOB_KINDS", "execute_point", "expand_job",
            "msgrate_point", "scenario_point", "selftest_point"]
@@ -49,7 +52,6 @@ def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
                   seed: int = 0) -> dict[str, Any]:
     """One message-rate sweep point (module-level: pool workers and
     service workers both import it by name)."""
-    from ..bench.msgrate import MsgRateConfig, run_msgrate
     r = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
                                   msgs_per_core=msgs_per_core,
                                   msg_bytes=msg_bytes, window=window,
@@ -100,6 +102,40 @@ def execute_point(kind: str, point: dict) -> Any:
 
 
 # -- job expansion ---------------------------------------------------------
+#: Parameters a sweep point may set: those of :func:`msgrate_point`.
+SWEEP_PARAMS = tuple(inspect.signature(msgrate_point).parameters)
+
+
+def _number(spec: dict, key: str, default: Any, kind: type = int) -> Any:
+    """``spec[key]`` (``default`` if absent) converted by ``kind``.
+
+    Every numeric field of a job document goes through here, so a value
+    that is not a finite number fails at submit as a :class:`ServeError`
+    (HTTP 400), never as a ``TypeError``/``OverflowError`` later.
+    """
+    value = spec.get(key, default)
+    try:
+        out = kind(value)
+        if not math.isfinite(out):
+            raise OverflowError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ServeError(f"job field {key!r} must be a finite "
+                         f"{kind.__name__}, got {value!r:.40}") from exc
+    return out
+
+
+def _check_sweep_value(key: str, value: Any) -> None:
+    """One sweep value, checked as :class:`MsgRateConfig` would check it."""
+    if key != "mode" and (not isinstance(value, int)
+                          or isinstance(value, bool)):
+        raise ServeError(f"sweep param {key!r} takes integers, "
+                         f"got {value!r}")
+    try:
+        MsgRateConfig(**{key: value})
+    except MpiUsageError as exc:
+        raise ServeError(f"sweep param {key!r}: {exc}") from exc
+
+
 def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
     params = spec.get("params")
     if not isinstance(params, dict) or not params:
@@ -108,12 +144,22 @@ def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
     experiment = spec.get("experiment", "msgrate")
     if experiment != "msgrate":
         raise ServeError(f"unknown sweep experiment {experiment!r}")
+    unknown = sorted(set(params) - set(SWEEP_PARAMS))
+    if unknown:
+        raise ServeError(f"unknown sweep param(s) {', '.join(unknown)} "
+                         f"(known: {', '.join(SWEEP_PARAMS)})")
+    missing = [k for k in ("mode", "cores") if k not in params]
+    if missing:
+        raise ServeError(f"sweep job needs param(s) {', '.join(missing)}")
     # Canonical (sorted) key order: a job document's expansion must not
     # depend on mapping key order, which JSON/YAML round-trips (e.g. a
     # client serializing with sort_keys) do not preserve.
     keys = sorted(params)
     values = [params[k] if isinstance(params[k], list) else [params[k]]
               for k in keys]
+    for key, options in zip(keys, values):
+        for value in options:
+            _check_sweep_value(key, value)
     points = [dict(zip(keys, combo))
               for combo in itertools.product(*values)]
     return "msgrate", points
@@ -121,8 +167,8 @@ def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
 
 def _expand_campaign(spec: dict) -> tuple[str, list[dict]]:
     from ..scenarios.sample import sample_scenarios
-    seed = int(spec.get("seed", 0))
-    n = int(spec.get("n", 0))
+    seed = _number(spec, "seed", 0)
+    n = _number(spec, "n", 0)
     if n < 1:
         raise ServeError("campaign job needs n >= 1 scenarios")
     specs = sample_scenarios(seed, n, apps=spec.get("apps"))
@@ -140,10 +186,12 @@ def _expand_scenarios(spec: dict) -> tuple[str, list[dict]]:
 
 
 def _expand_selftest(spec: dict) -> tuple[str, list[dict]]:
-    n = int(spec.get("n", 0))
+    n = _number(spec, "n", 0)
     if n < 1:
         raise ServeError("selftest job needs n >= 1 points")
-    ms = float(spec.get("ms", 0.0))
+    ms = _number(spec, "ms", 0.0, float)
+    if ms < 0:
+        raise ServeError("selftest job needs ms >= 0")
     points: list[dict] = []
     for i in range(n):
         point: dict[str, Any] = {"i": i}
