@@ -13,19 +13,20 @@ or the map must be rebuilt collectively (expensive). Endpoints simply
 address the new partner's endpoint rank; tags-with-hints simply encode the
 new partner's thread id.
 
-The proxy partitions a real networkx graph, runs ``iters`` update rounds
-with community reassignment between rounds (changing the partner sets),
-and measures exchange time plus — for the communicator mechanism — the
-label-sharing conflicts the dynamism induces.
+The proxy partitions a Barabási–Albert power-law graph, built in-repo by
+:func:`barabasi_albert`, runs ``iters`` update rounds with community
+reassignment between rounds (changing the partner sets), and measures
+exchange time plus — for the communicator mechanism — the label-sharing
+conflicts the dynamism induces.
 """
 
 from __future__ import annotations
 
 import math
+import random  # lint: ignore[L201] -- only a seeded random.Random(seed) instance
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterator, KeysView, Optional
 
-import networkx as nx
 import numpy as np
 
 from ...errors import MpiUsageError
@@ -36,7 +37,8 @@ from ...netsim.config import NetworkConfig
 from ...runtime.world import MpiProcess, World
 from ..chaos import TrafficShape, chaos_cluster, install_traffic
 
-__all__ = ["GraphConfig", "GraphResult", "run_graph", "partition_graph"]
+__all__ = ["GraphConfig", "GraphResult", "Graph", "barabasi_albert",
+           "run_graph", "partition_graph"]
 
 MECHANISMS = ("original", "tags", "communicators", "endpoints")
 
@@ -64,6 +66,11 @@ class GraphConfig:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
         if not 0.0 <= self.churn <= 1.0:
             raise MpiUsageError("churn must be in [0, 1]")
+        if not 1 <= self.graph_degree < self.graph_vertices:
+            raise MpiUsageError(
+                f"graph_degree must be in [1, graph_vertices), got "
+                f"graph_degree={self.graph_degree}, "
+                f"graph_vertices={self.graph_vertices}")
 
 
 @dataclass
@@ -88,10 +95,53 @@ class GraphResult:
                 f"conflicts={self.comm_conflicts}")
 
 
-def partition_graph(cfg: GraphConfig) -> tuple[nx.Graph, dict[int, tuple[int, int]]]:
+class Graph(dict[int, list[int]]):
+    """Undirected graph as insertion-ordered adjacency lists."""
+
+    @property
+    def nodes(self) -> KeysView[int]:
+        """The vertices, in insertion order."""
+        return self.keys()
+
+    def neighbors(self, v: int) -> Iterator[int]:
+        """``v``'s neighbours, in edge-insertion order."""
+        return iter(self[v])
+
+
+def barabasi_albert(n: int, m: int, seed: int) -> Graph:
+    """Barabási–Albert preferential attachment: ``n`` vertices, each new
+    one attached to ``m`` distinct existing ones drawn by degree.
+
+    The classic construction, step for step: a star on ``m + 1``
+    vertices, then each new vertex draws ``m`` distinct targets from a
+    list holding every vertex once per incident edge. The vertex order
+    and every neighbour order fix the proxy's message issue order, so
+    they are pinned by tests.
+    """
+    if not 1 <= m < n:
+        raise MpiUsageError(f"Barabási–Albert needs 1 <= m < n, "
+                            f"got m={m}, n={n}")
+    rng = random.Random(seed)
+    # A star on m+1 vertices with hub 0 ...
+    g = Graph({0: list(range(1, m + 1))})
+    g.update((v, [0]) for v in range(1, m + 1))
+    # ... and every vertex repeated once per incident edge.
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        g[source] = list(targets)
+        for t in targets:
+            g[t].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return g
+
+
+def partition_graph(cfg: GraphConfig) -> tuple[Graph, dict[int, tuple[int, int]]]:
     """Generate the graph and the initial vertex -> (proc, thread) owner map."""
-    g = nx.barabasi_albert_graph(cfg.graph_vertices, cfg.graph_degree,
-                                 seed=cfg.seed)
+    g = barabasi_albert(cfg.graph_vertices, cfg.graph_degree, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     owners = {}
     total_threads = cfg.num_nodes * cfg.threads_per_proc
@@ -104,7 +154,7 @@ def partition_graph(cfg: GraphConfig) -> tuple[nx.Graph, dict[int, tuple[int, in
 
 class _GraphNode:
     def __init__(self, proc: MpiProcess, cfg: GraphConfig,
-                 graph: nx.Graph, owners: dict):
+                 graph: Graph, owners: dict):
         self.proc = proc
         self.cfg = cfg
         self.graph = graph

@@ -22,6 +22,7 @@ __all__ = [
     "TopologyError",
     "ServeError",
     "ProtocolError",
+    "JobTooLargeError",
 ]
 
 
@@ -167,4 +168,12 @@ class ProtocolError(ServeError):
     JSON object with a ``type`` field. Transport code treats it as a
     fatal error for that connection: the peer is dropped and any job it
     held is re-queued.
+    """
+
+
+class JobTooLargeError(ServeError):
+    """A job document expands to more points than the service accepts.
+
+    Raised at submit, from the job's point count alone, before any point
+    is built; the HTTP front answers it with ``413``.
     """

@@ -107,7 +107,8 @@ class ClusterSpec:
 
     One spec builds one world: the topology object carries per-link
     queue state once bound, so :meth:`build_topology` returns a fresh
-    graph on every call.
+    graph on every call (the first call hands out the graph built for
+    validation).
     """
 
     def __init__(self, nodes: int = 2, procs_per_node: int = 1,
@@ -128,10 +129,15 @@ class ClusterSpec:
         self.params = dict(params)
         # Fail fast: building the graph (O(links); routes stay lazy)
         # validates the generator parameters and capacity vs `nodes`.
-        self.build_topology()
+        # It is kept, unbound, for the first build_topology() call.
+        self._unclaimed: Optional[Topology] = self._build()
 
     def build_topology(self) -> Optional[Topology]:
-        """Build a fresh, unbound topology graph (``None`` for direct)."""
+        """A fresh, unbound topology graph (``None`` for direct)."""
+        topo, self._unclaimed = self._unclaimed, None
+        return topo if topo is not None else self._build()
+
+    def _build(self) -> Optional[Topology]:
         builder = _REGISTRY[self.topology]
         try:
             topo = builder(self.nodes, self.network.fabric, **self.params)

@@ -11,16 +11,16 @@ delta-debugged down to a minimal, byte-exactly-replayable YAML artifact
 
 See ``docs/scenarios.md`` for the workflow and the CLI
 (``python -m repro campaign run|resume|report|replay``).
+
+The package imports the spec, the sampler and the single-scenario
+executor; campaign orchestration (checkpoints, the fork pool) and the
+shrinker load on first access to one of their names.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .apps import APP_REGISTRY, AppAdapter, app_names, get_app
-from .campaign import (
-    campaign_report,
-    load_manifest,
-    render_report,
-    run_campaign,
-    summarize_outcomes,
-)
 from .executor import (
     STATUSES,
     outcome_signature,
@@ -29,14 +29,20 @@ from .executor import (
     run_scenarios,
 )
 from .sample import sample_one, sample_scenarios
-from .shrink import (
-    ShrinkResult,
-    load_artifact,
-    shrink_scenario,
-    verify_artifact,
-    write_artifact,
-)
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .campaign import campaign_report, load_manifest, render_report, \
+        run_campaign, summarize_outcomes
+    from .shrink import ShrinkResult, load_artifact, shrink_scenario, \
+        verify_artifact, write_artifact
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": ("campaign_report", "load_manifest", "render_report",
+                  "run_campaign", "summarize_outcomes"),
+    ".shrink": ("ShrinkResult", "load_artifact", "shrink_scenario",
+                "verify_artifact", "write_artifact"),
+})
 
 __all__ = [
     "APP_REGISTRY", "AppAdapter", "app_names", "get_app",

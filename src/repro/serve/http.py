@@ -7,7 +7,8 @@ framework, no dependency beyond the interpreter. The surface:
 ``GET  /healthz``            liveness: workers (with pids), queue, cache
 ``GET  /metrics``            metrics-registry snapshot (JSON)
 ``POST /jobs``               submit ``{"kind": ..., "spec": {...}}``
-                             (JSON or YAML body) → ``201`` + status doc
+                             (JSON or YAML body) → ``201`` + status doc;
+                             ``413`` above ``MAX_JOB_POINTS`` points
 ``GET  /jobs``               status documents for all jobs
 ``GET  /jobs/<id>``          one job's live progress
 ``GET  /jobs/<id>/result``   full result doc; ``409`` while running
@@ -29,7 +30,7 @@ from typing import Any, Optional
 
 import yaml
 
-from ..errors import ServeError
+from ..errors import JobTooLargeError, ServeError
 from .orchestrator import Orchestrator
 
 __all__ = ["HttpApi", "parse_job_document"]
@@ -91,6 +92,8 @@ class HttpApi:
                       writer: asyncio.StreamWriter) -> None:
         try:
             status, doc = await self._dispatch(reader)
+        except JobTooLargeError as exc:
+            status, doc = 413, {"error": str(exc)}
         except ServeError as exc:
             status, doc = 400, {"error": str(exc)}
         except (ConnectionError, asyncio.IncompleteReadError, ValueError,
@@ -100,7 +103,8 @@ class HttpApi:
                           default=str).encode("utf-8")
         reasons = {200: "OK", 201: "Created", 400: "Bad Request",
                    404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 500: "Internal Server Error"}
+                   409: "Conflict", 413: "Payload Too Large",
+                   500: "Internal Server Error"}
         head = (f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"

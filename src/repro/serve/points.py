@@ -36,10 +36,11 @@ import time
 from typing import Any, Callable
 
 from ..bench.msgrate import MsgRateConfig, run_msgrate
-from ..errors import MpiUsageError, ServeError
+from ..errors import JobTooLargeError, MpiUsageError, ServeError
 
-__all__ = ["POINT_KINDS", "JOB_KINDS", "execute_point", "expand_job",
-           "msgrate_point", "scenario_point", "selftest_point"]
+__all__ = ["POINT_KINDS", "JOB_KINDS", "MAX_JOB_POINTS", "execute_point",
+           "expand_job", "msgrate_point", "scenario_point",
+           "selftest_point"]
 
 
 def _json_roundtrip(result: Any) -> Any:
@@ -102,6 +103,11 @@ def execute_point(kind: str, point: dict) -> Any:
 
 
 # -- job expansion ---------------------------------------------------------
+#: Most points one job may expand to. Expansion runs on the
+#: orchestrator's event loop, so a job is counted before it is expanded
+#: and refused (HTTP 413) above this.
+MAX_JOB_POINTS = 4096
+
 #: Parameters a sweep point may set: those of :func:`msgrate_point`.
 SWEEP_PARAMS = tuple(inspect.signature(msgrate_point).parameters)
 
@@ -122,6 +128,13 @@ def _number(spec: dict, key: str, default: Any, kind: type = int) -> Any:
         raise ServeError(f"job field {key!r} must be a finite "
                          f"{kind.__name__}, got {value!r:.40}") from exc
     return out
+
+
+def _check_size(kind: str, count: int) -> None:
+    """Refuse a job of more than :data:`MAX_JOB_POINTS` points."""
+    if count > MAX_JOB_POINTS:
+        raise JobTooLargeError(f"{kind} job has {count} points; the limit "
+                               f"is {MAX_JOB_POINTS}")
 
 
 def _check_sweep_value(key: str, value: Any) -> None:
@@ -157,6 +170,7 @@ def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
     keys = sorted(params)
     values = [params[k] if isinstance(params[k], list) else [params[k]]
               for k in keys]
+    _check_size("sweep", math.prod(len(v) for v in values))
     for key, options in zip(keys, values):
         for value in options:
             _check_sweep_value(key, value)
@@ -171,6 +185,7 @@ def _expand_campaign(spec: dict) -> tuple[str, list[dict]]:
     n = _number(spec, "n", 0)
     if n < 1:
         raise ServeError("campaign job needs n >= 1 scenarios")
+    _check_size("campaign", n)
     specs = sample_scenarios(seed, n, apps=spec.get("apps"))
     return "scenario", [{"spec": s.to_dict()} for s in specs]
 
@@ -180,6 +195,7 @@ def _expand_scenarios(spec: dict) -> tuple[str, list[dict]]:
     raw = spec.get("specs")
     if not isinstance(raw, list) or not raw:
         raise ServeError("scenarios job needs a non-empty 'specs' list")
+    _check_size("scenarios", len(raw))
     # Validate eagerly: a malformed spec fails at submit, not on a worker.
     points = [{"spec": ScenarioSpec.from_dict(d).to_dict()} for d in raw]
     return "scenario", points
@@ -189,6 +205,7 @@ def _expand_selftest(spec: dict) -> tuple[str, list[dict]]:
     n = _number(spec, "n", 0)
     if n < 1:
         raise ServeError("selftest job needs n >= 1 points")
+    _check_size("selftest", n)
     ms = _number(spec, "ms", 0.0, float)
     if ms < 0:
         raise ServeError("selftest job needs ms >= 0")

@@ -1,8 +1,12 @@
 """Tests for the Legion event-runtime / circuit and graph proxies."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.graph import GraphConfig, partition_graph, run_graph
+from repro.apps.graph.vite import barabasi_albert
 from repro.apps.legion import (
     CircuitConfig,
     LegionConfig,
@@ -106,6 +110,61 @@ def test_graph_all_updates_delivered(mechanism):
 def test_graph_churn_validation():
     with pytest.raises(MpiUsageError):
         GraphConfig(churn=1.5)
+
+
+@pytest.mark.parametrize("vertices,degree", [(8, 0), (8, -1), (8, 8),
+                                             (8, 9), (1, 1)])
+def test_graph_degree_validation(vertices, degree):
+    with pytest.raises(MpiUsageError, match="graph_degree"):
+        GraphConfig(graph_vertices=vertices, graph_degree=degree)
+    with pytest.raises(MpiUsageError, match="1 <= m < n"):
+        barabasi_albert(vertices, degree, seed=0)
+
+
+def test_bad_graph_degree_fails_at_scenario_construction():
+    from repro.errors import ScenarioError
+    from repro.scenarios import ScenarioSpec
+    with pytest.raises(ScenarioError, match="graph_degree"):
+        ScenarioSpec(app="graph", mechanism="endpoints",
+                     app_params={"graph_vertices": 16, "graph_degree": 16})
+
+
+#: sha256 of ``json.dumps([nodes, [neighbours of each node]])`` for
+#: networkx 3.x's ``barabasi_albert_graph(n, m, seed=seed)``: the
+#: scenario sampler's sizes (24/48/64 vertices, degree 4), the
+#: shrinker's floor (16, 2) and a few other shapes. Message issue order
+#: follows neighbour order, so the in-repo generator must match exactly.
+BA_REFERENCE = {
+    (24, 4, 0): "503eec3f30590e848c2a8c17f0670c3d8db7a294821e0b5870d3956eef6da973",
+    (24, 4, 1): "96263fce05d69de1ec9c79c36e5f946266a12d2669f88c1adce7e199d76c52ae",
+    (24, 4, 7): "f215069d9ba41083092c41e6417415afddcea2350d27d329073bee5e6d808f4f",
+    (24, 4, 2022): "fb252cc6ffe797b1e6a0b1f355fc2adb95b32106bf1d5c969dbc0735838fca19",
+    (48, 4, 0): "20d7cf6b7f094e055e415c152765d307c622f23d7f81536d437d22e08fcc5727",
+    (48, 4, 3): "a3cae776843038332d505664bfd50947850bbebee81f4787a8f1e541913ba5ee",
+    (48, 4, 11): "74492819f3c7c75244d883ef9ee3c74c2b6bedd66d2281c4a79b1116843d9489",
+    (64, 4, 0): "0a5a4b9a40322450c5d98470c6e175e9eb6538457549a3c8cfa255af15d8f063",
+    (64, 4, 5): "14a35cd26d7d903b079f5fa1166d6e5afc218ee98a496f72778d0106b9af3fdb",
+    (64, 4, 20221): "2b94ea4baab5dc16a98d3b88c7c87f1318c0aef9230244f942f76e60d30620c0",
+    (16, 2, 0): "dd6144ce4db0b93db99fbb348b75831e0c678c463668256ac49ad2a45c4c229f",
+    (16, 2, 1): "e1841f4042dcac97f3d0e96d8f787f8f0207dc94d3870451c3b5233c6068bc22",
+    (16, 2, 9): "42daa89679471421268b3ee5c9ce8c0134dbe0db313546e24401870962b24073",
+    (256, 4, 0): "f252b595e483a862eadd89a5319cebcb51bc8e3236a61d1b7c3f2cdfe7ecb529",
+    (100, 1, 3): "6de1d3df558649009c868af54d8fee8cc42253590d3bfe12f3dd94bbd92bbf37",
+    (40, 6, 2): "e1b9a95a1bd8ba070f5f5c187fc9eb77356a6ae5c1df1caae3c117475cecfcd6",
+    (33, 3, 8): "02490c0b1fbb071aeea414de26d4fcdd3ce2c0ebe3c903cb58653130b0793d25",
+    (5, 4, 1): "61000b2abe7d064a78aa72f3977a37086566750b8f373f2df7866d3f85eebd0b",
+}
+
+
+@pytest.mark.parametrize("n,m,seed", sorted(BA_REFERENCE))
+def test_barabasi_albert_matches_networkx_reference(n, m, seed):
+    g = barabasi_albert(n, m, seed)
+    nodes = list(g.nodes)
+    doc = json.dumps([nodes, [list(g.neighbors(v)) for v in nodes]])
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        BA_REFERENCE[n, m, seed]
+    assert nodes == list(range(n))
+    assert sum(map(len, g.values())) == 2 * m * (n - m)
 
 
 def test_lesson5_churn_causes_communicator_conflicts():

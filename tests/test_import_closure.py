@@ -10,6 +10,7 @@ object its defining module holds.
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 #: Modules the simulation core must not pull in.
 NOT_IN_CORE = (
@@ -33,7 +35,16 @@ NOT_IN_CORE = (
 MAX_CORE_MODULES = 50
 
 #: Packages whose ``__all__`` is partly served by a lazy ``__getattr__``.
-LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.snap")
+LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.snap",
+                 "repro.scenarios")
+
+#: Modules the scenario runner (sample + run one scenario, as a campaign
+#: worker does) must not pull in: campaign orchestration, the shrinker
+#: and their dependencies.
+NOT_IN_SCENARIO_RUNNER = (
+    "networkx", "yaml", "multiprocessing", "repro.bench.parallel",
+    "repro.scenarios.campaign", "repro.scenarios.shrink",
+)
 
 
 def _fresh(code: str) -> str:
@@ -60,6 +71,23 @@ def test_core_import_closure():
     assert len(core) <= MAX_CORE_MODULES, core
 
 
+def test_scenario_runner_import_closure():
+    loaded = json.loads(_fresh("""
+        import json
+        import repro.scenarios.executor
+        import repro.scenarios.sample
+        specs = repro.scenarios.sample.sample_scenarios(2022, 256)
+        graph = next(s for s in specs if s.app == "graph")
+        outcome = repro.scenarios.executor.run_scenario(graph)
+        assert outcome["status"] == "ok", outcome
+        print(json.dumps(sorted(sys.modules)))
+    """))
+    pulled = [m for m in loaded
+              if any(m == name or m.startswith(name + ".")
+                     for name in NOT_IN_SCENARIO_RUNNER)]
+    assert pulled == []
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 def test_every_public_name_resolves(package):
     pkg = importlib.import_module(package)
@@ -82,23 +110,12 @@ def test_every_public_name_resolves(package):
 
 def test_every_module_imports_on_its_own():
     """Each module imports in an interpreter holding no other ``repro``
-    module: no import cycle hides behind an eager package ``__init__``."""
-    failed = json.loads(_fresh("""
-        import importlib, json, pkgutil, traceback
-        import repro
-        names = [m.name for m in pkgutil.walk_packages(repro.__path__,
-                                                       "repro.")]
-        failed = {}
-        for name in ["repro"] + names:
-            if name == "repro.__main__":  # runs the CLI
-                continue
-            for loaded in [m for m in sys.modules
-                           if m == "repro" or m.startswith("repro.")]:
-                del sys.modules[loaded]
-            try:
-                importlib.import_module(name)
-            except Exception:
-                failed[name] = traceback.format_exc(limit=-3)
-        print(json.dumps(failed))
-    """))
-    assert failed == {}
+    module: no import cycle hides behind an eager package ``__init__``.
+    (CI runs the same script in a venv holding only the runtime
+    dependencies.)"""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "import_every_module.py")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert json.loads(done.stdout) == {}, done.stderr
+    assert done.returncode == 0, done.stderr

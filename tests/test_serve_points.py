@@ -8,13 +8,15 @@ dropped connection instead of an answer).
 
 import asyncio
 import json
+import time
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import JobTooLargeError, ServeError
+from repro.serve import points as points_module
 from repro.serve.http import HttpApi
 from repro.serve.orchestrator import Orchestrator
-from repro.serve.points import SWEEP_PARAMS, expand_job
+from repro.serve.points import MAX_JOB_POINTS, SWEEP_PARAMS, expand_job
 
 
 def sweep(**params):
@@ -100,3 +102,50 @@ def test_http_answers_400_for_a_malformed_job(tmp_path, doc):
     status, reply = _post(api, json.dumps(doc).encode())
     assert status == 400 and "error" in reply
     assert api.orchestrator.jobs == {}
+
+
+#: Jobs far above the cap: expanding any of them would take minutes.
+HUGE_JOBS = [
+    {"kind": "sweep", "spec": {"params": {
+        "mode": ["everywhere"] * 3000, "cores": list(range(1, 3001))}}},
+    {"kind": "campaign", "spec": {"seed": 1, "n": 10 ** 9}},
+    {"kind": "selftest", "spec": {"n": 10 ** 9}},
+]
+
+
+@pytest.mark.parametrize("doc", HUGE_JOBS, ids=lambda d: d["kind"])
+def test_http_answers_413_for_a_job_above_the_cap(tmp_path, monkeypatch,
+                                                  doc):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a job above the cap was expanded")
+
+    # Every path from a counted job to its point list goes through one
+    # of these; none may run.
+    monkeypatch.setattr(points_module.itertools, "product", no_points)
+    monkeypatch.setattr(points_module, "_json_roundtrip", no_points)
+    monkeypatch.setattr("repro.scenarios.sample.sample_scenarios",
+                        no_points)
+    api = HttpApi(Orchestrator(str(tmp_path)))
+    body = json.dumps(doc).encode()
+    start = time.monotonic()
+    status, reply = _post(api, body)
+    assert time.monotonic() - start < 1.0
+    assert status == 413 and str(MAX_JOB_POINTS) in reply["error"]
+    assert api.orchestrator.jobs == {}
+
+
+def test_point_cap_counts_every_job_kind():
+    at_cap = {"params": {"mode": ["everywhere"],
+                         "cores": [1] * MAX_JOB_POINTS}}
+    assert len(expand_job("sweep", at_cap)[1]) == MAX_JOB_POINTS
+    assert len(expand_job("selftest", {"n": MAX_JOB_POINTS})[1]) \
+        == MAX_JOB_POINTS
+    for kind, spec in [
+        ("sweep", {"params": {"mode": ["everywhere"] * 2,
+                              "cores": [1] * (MAX_JOB_POINTS // 2 + 1)}}),
+        ("selftest", {"n": MAX_JOB_POINTS + 1}),
+        ("campaign", {"n": MAX_JOB_POINTS + 1}),
+        ("scenarios", {"specs": [{}] * (MAX_JOB_POINTS + 1)}),
+    ]:
+        with pytest.raises(JobTooLargeError):
+            expand_job(kind, spec)

@@ -153,6 +153,34 @@ def test_topology_registry_protocol():
     assert spec.build_topology().num_links == 6
 
 
+def test_each_world_builds_its_topology_once(monkeypatch):
+    """The graph a spec builds to validate itself is its first World's
+    graph; every later World from the same spec gets a fresh one."""
+    from repro.netsim.topology import spec as spec_module
+    from repro.scenarios import ScenarioSpec, run_scenario
+    calls = []
+    build = spec_module._REGISTRY["dragonfly"]
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setitem(spec_module._REGISTRY, "dragonfly", counting)
+    cluster = ClusterSpec(nodes=12, topology="dragonfly", a=2, p=2, h=1)
+    first = World(cluster=cluster)
+    assert len(calls) == 1
+    second = World(cluster=cluster)
+    assert len(calls) == 2
+    assert first.topology is not second.topology
+
+    scenario = ScenarioSpec(app="stencil", mechanism="endpoints", nodes=4,
+                            topology="dragonfly",
+                            topology_params={"a": 2, "p": 1, "h": 1})
+    calls.clear()
+    assert run_scenario(scenario)["status"] == "ok"
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------- routing
 
 def _route_properties(topo):
