@@ -11,8 +11,8 @@ but a forked child holds them live). The digest, not the parameter
 split, is the source of truth — two points belong to the same prefix
 exactly when their warm worlds hash identically.
 
-Results are also persisted across runs in the
-:class:`repro.bench.parallel._PointStore` checkpoint format, keyed by
+Results are also persisted across runs in a
+:class:`repro.store.PointStore`, keyed by
 ``(memo format version, warm-prefix digest, tail parameters)``. A
 repeated sweep therefore re-simulates **zero** warm-ups: the prefix
 digests are read back from the cache index and every point resolves to
@@ -30,10 +30,9 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..snap import SNAP_VERSION, STATE_FORMAT_VERSION
 from ..snap.fork import fork_available
-from .parallel import _PENDING, _PointStore
+from ..store import PENDING, PointStore, canonical_json, json_roundtrip
 
 __all__ = ["MEMO_VERSION", "MemoStats", "WarmPrefixExecutor",
-           "canonical_params", "json_roundtrip",
            "fig1a_executor", "FIG1A_PREFIX_KEYS"]
 
 #: Cache-key version: any SNAP/STATE format bump invalidates every
@@ -74,32 +73,6 @@ class MemoStats:
         }
 
 
-def canonical_params(params: dict) -> str:
-    """Canonical JSON for a parameter mapping (sorted keys, no spaces).
-
-    The shared spelling of "these parameters, as a cache key" — the memo
-    executor groups prefixes by it and :mod:`repro.serve.cache` keys the
-    service's result cache with it.
-    """
-    return json.dumps(params, sort_keys=True, separators=(",", ":"),
-                      default=str)
-
-
-def json_roundtrip(result: Any) -> Any:
-    """``result`` as JSON reads it back (tuples become lists, ...).
-
-    Every result is normalized this way whether it was computed live,
-    ferried from a forked child, served by a socket worker, or loaded
-    from the persistent cache — so all paths return byte-identical data.
-    """
-    return json.loads(json.dumps(result, default=str))
-
-
-# Pre-service spellings, kept for callers grown before repro.serve.
-_canonical = canonical_params
-_roundtrip = json_roundtrip
-
-
 def _prefix_record(prefix: dict) -> dict:
     """Store key for a prefix's digest (the cross-run digest index)."""
     return {"kind": "warm-prefix", "memo": MEMO_VERSION, "prefix": prefix}
@@ -130,7 +103,7 @@ class WarmPrefixExecutor:
     in a forked child (parent state stays pristine); without ``os.fork``
     the executor degrades to re-simulating the prefix per point. With
     ``cache_dir`` set, prefix digests and point results persist across
-    runs in the :class:`~repro.bench.parallel._PointStore` format.
+    runs in a :class:`~repro.store.PointStore`.
     """
 
     def __init__(self, prefix_fn: Callable[..., Any],
@@ -141,7 +114,7 @@ class WarmPrefixExecutor:
         self.prefix_fn = prefix_fn
         self.tail_fn = tail_fn
         self.prefix_keys = tuple(prefix_keys)
-        self.store = _PointStore(cache_dir) if cache_dir else None
+        self.store = PointStore(cache_dir) if cache_dir else None
         self._digest_fn = digest_fn
 
     def _digest(self, state: Any) -> str:
@@ -160,12 +133,12 @@ class WarmPrefixExecutor:
         """Run every point; returns results in point order."""
         stats = stats if stats is not None else MemoStats()
         points = list(points)
-        results: list[Any] = [_PENDING] * len(points)
+        results: list[Any] = [PENDING] * len(points)
         groups: dict[str, list[int]] = {}
         prefixes: dict[str, dict] = {}
         for i, point in enumerate(points):
             prefix, _tail = self._split(point)
-            key = _canonical(prefix)
+            key = canonical_json(prefix)
             groups.setdefault(key, []).append(i)
             prefixes[key] = prefix
         for key, indices in groups.items():
@@ -181,7 +154,7 @@ class WarmPrefixExecutor:
         digest: Optional[str] = None
         if store is not None:
             cached = store.load(_prefix_record(prefix))
-            if cached is not _PENDING:
+            if cached is not PENDING:
                 digest = cached
         todo = list(indices)
         if digest is not None:
@@ -190,7 +163,7 @@ class WarmPrefixExecutor:
             for i in indices:
                 _p, tail = self._split(points[i])
                 cached = store.load(_result_record(digest, tail))
-                if cached is _PENDING:
+                if cached is PENDING:
                     todo.append(i)
                 else:
                     results[i] = cached
@@ -205,8 +178,8 @@ class WarmPrefixExecutor:
             # cached digest no longer describes this prefix. Distrust
             # every result served off it and recompute the whole group.
             for i in indices:
-                if i not in todo and results[i] is not _PENDING:
-                    results[i] = _PENDING
+                if i not in todo and results[i] is not PENDING:
+                    results[i] = PENDING
                     stats.result_hits -= 1
                     todo.append(i)
             todo.sort()
@@ -221,12 +194,12 @@ class WarmPrefixExecutor:
             if last:
                 # The group is done with this warm world: the final tail
                 # may consume it in-process, no fork needed.
-                result = _roundtrip(self.tail_fn(state, **tail))
+                result = json_roundtrip(self.tail_fn(state, **tail))
             elif can_fork:
                 result = self._tail_in_fork(state, tail)
                 stats.forks += 1
             else:  # pragma: no cover - non-POSIX hosts
-                result = _roundtrip(self.tail_fn(state, **tail))
+                result = json_roundtrip(self.tail_fn(state, **tail))
                 state = self.prefix_fn(**prefix)
                 stats.warmups_simulated += 1
             if pos > 0:

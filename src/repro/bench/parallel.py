@@ -17,14 +17,14 @@ job is requested, points run serially in-process.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-__all__ = ["auto_jobs", "chunk_size", "default_jobs", "point_key",
-           "run_points", "scaling_run"]
+from ..store import PENDING, PointStore
+
+__all__ = ["auto_jobs", "chunk_size", "default_jobs", "run_points",
+           "scaling_run"]
 
 
 def default_jobs(env: str = "REPRO_BENCH_JOBS") -> int:
@@ -78,70 +78,6 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return None
 
 
-def point_key(point: dict) -> str:
-    """Stable content key for a sweep point's parameters.
-
-    The key is a SHA-256 of the canonical JSON of the (sorted) parameter
-    mapping, so it survives process restarts and does not depend on
-    parameter order. Used to name per-point checkpoint files.
-    """
-    blob = json.dumps(point, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-
-_PENDING = object()  # sentinel: point not yet computed / not checkpointed
-
-
-class _PointStore:
-    """Per-point result checkpoints for crash-safe, resumable campaigns.
-
-    One JSON file per point under ``directory``, named by
-    :func:`point_key` and written atomically (tmp + ``os.replace``), so a
-    killed campaign leaves only whole checkpoints behind. Results must be
-    JSON-serializable; floats survive the round-trip exactly (``repr``
-    shortest-round-trip), so a resumed campaign's rows are byte-identical
-    to an uninterrupted one.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, point: dict) -> str:
-        return os.path.join(self.directory, f"point-{point_key(point)}.json")
-
-    def load(self, point: dict) -> Any:
-        """The checkpointed result for ``point``, or ``_PENDING``.
-
-        Truncated/corrupt files (a crash mid-``os.replace`` cannot produce
-        one, but a full disk can) read as pending and are recomputed.
-        """
-        try:
-            with open(self._path(point), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return _PENDING
-        if payload.get("point") != _jsonable(point):
-            return _PENDING  # key collision or stale directory: recompute
-        return payload["result"]
-
-    def save(self, point: dict, result: Any) -> None:
-        """Atomically persist ``result`` for ``point``."""
-        path = self._path(point)
-        tmp = path + ".tmp"
-        payload = {"point": _jsonable(point), "result": result}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"),
-                      default=str)
-        os.replace(tmp, path)
-
-
-def _jsonable(point: dict) -> dict:
-    """The point as it round-trips through JSON (for equality checks)."""
-    return json.loads(json.dumps(point, sort_keys=True, default=str))
-
-
 def chunk_size(n_points: int, jobs: int) -> int:
     """Points per pool task: ``max(1, n_points // (4 * jobs))``.
 
@@ -177,8 +113,8 @@ def run_points(fn: Callable[..., Any], points: Sequence[dict],
     is called with each point before it runs — worker processes cannot
     usefully stream progress to the parent's terminal.
 
-    ``checkpoint_dir`` persists every completed point's result as an
-    atomic per-point JSON file the moment it completes (in the parent,
+    ``checkpoint_dir`` persists every completed point's result in a
+    :class:`~repro.store.PointStore` the moment it completes (in the parent,
     via the pool's completion callback), so a killed campaign loses only
     in-flight points. ``resume=True`` loads existing checkpoints and runs
     only the missing points; because ``fn`` is deterministic per point
@@ -186,14 +122,14 @@ def run_points(fn: Callable[..., Any], points: Sequence[dict],
     byte-identical to an uninterrupted one.
     """
     points = list(points)
-    store = _PointStore(checkpoint_dir) if checkpoint_dir else None
-    results: list[Any] = [_PENDING] * len(points)
+    store = PointStore(checkpoint_dir) if checkpoint_dir else None
+    results: list[Any] = [PENDING] * len(points)
     todo = list(range(len(points)))
     if store is not None and resume:
         todo = []
         for i, point in enumerate(points):
             cached = store.load(point)
-            if cached is _PENDING:
+            if cached is PENDING:
                 todo.append(i)
             else:
                 results[i] = cached

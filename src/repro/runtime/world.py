@@ -18,7 +18,6 @@ Typical use::
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, \
     Optional
@@ -154,7 +153,6 @@ class World:
     def __init__(self, num_nodes: Optional[int] = None,
                  procs_per_node: Optional[int] = None,
                  threads_per_proc: Optional[int] = None,
-                 cfg: Optional[NetworkConfig] = None,
                  max_vcis_per_proc: int = 64, seed: int = 0,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
@@ -166,25 +164,14 @@ class World:
         # -- cluster resolution -----------------------------------------
         # The declarative path is `cluster=ClusterSpec(...)`; bare
         # dimension keywords remain first-class sugar for a direct
-        # (single-hop) cluster. `cfg=` survives as a deprecation shim
-        # mapping onto `ClusterSpec(topology="direct", network=cfg)`.
+        # (single-hop) cluster on the default network.
         if cluster is not None:
-            if cfg is not None:
-                raise MpiUsageError(
-                    "pass either cluster= or the deprecated cfg=, not both "
-                    "(put the NetworkConfig in ClusterSpec(network=...))")
             if (num_nodes is not None or procs_per_node is not None
                     or threads_per_proc is not None):
                 raise MpiUsageError(
                     "with cluster=, the cluster dimensions come from the "
                     "ClusterSpec (nodes/procs_per_node/threads_per_proc)")
         else:
-            if cfg is not None:
-                warnings.warn(
-                    "World(cfg=...) is deprecated; use "
-                    "World(cluster=ClusterSpec(..., network=cfg)) — see "
-                    "docs/model.md (migration note) and docs/topology.md",
-                    DeprecationWarning, stacklevel=2)
             num_nodes = 2 if num_nodes is None else num_nodes
             procs_per_node = 1 if procs_per_node is None else procs_per_node
             threads_per_proc = 1 if threads_per_proc is None else threads_per_proc
@@ -193,7 +180,7 @@ class World:
             cluster = ClusterSpec(nodes=num_nodes,
                                   procs_per_node=procs_per_node,
                                   threads_per_proc=threads_per_proc,
-                                  topology="direct", network=cfg)
+                                  topology="direct")
         self.cluster = cluster
         num_nodes = cluster.nodes
         procs_per_node = cluster.procs_per_node

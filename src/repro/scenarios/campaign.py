@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..bench.parallel import run_points
 from ..errors import ScenarioError
+from ..store import PENDING, PointStore, write_atomic
 from .executor import run_scenario
 from .sample import SAMPLER_VERSION, sample_scenarios
 from .shrink import shrink_scenario, verify_artifact, write_artifact
@@ -47,13 +48,6 @@ def _scenario_point(spec: dict) -> dict[str, Any]:
     outcome = run_scenario(ScenarioSpec.from_dict(spec))
     _executed_in_process += 1
     return outcome
-
-
-def _atomic_write_json(path: str, data: Any) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def load_manifest(out_dir: str) -> dict[str, Any]:
@@ -114,7 +108,8 @@ def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
         manifest = {"seed": int(seed), "n": int(n),
                     "apps": sorted(apps) if apps else None,
                     "sampler_version": SAMPLER_VERSION}
-        _atomic_write_json(manifest_path, manifest)
+        write_atomic(manifest_path,
+                     json.dumps(manifest, indent=2, sort_keys=True))
 
     specs = sample_scenarios(seed, n, apps=apps)
     say(f"campaign: {len(specs)} scenarios (seed={seed})")
@@ -152,7 +147,8 @@ def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
             })
 
     summary = summarize_outcomes(manifest, outcomes, artifacts)
-    _atomic_write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_atomic(os.path.join(out_dir, "summary.json"),
+                 json.dumps(summary, indent=2, sort_keys=True))
     return summary
 
 
@@ -195,16 +191,15 @@ def campaign_report(out_dir: str) -> dict[str, Any]:
     Reads only the manifest and the per-point checkpoints, so it works on
     a half-finished (or killed) campaign without running anything.
     """
-    from ..bench.parallel import _PENDING, _PointStore
     manifest = load_manifest(out_dir)
     specs = sample_scenarios(manifest["seed"], manifest["n"],
                              apps=manifest["apps"])
-    store = _PointStore(os.path.join(out_dir, "points"))
+    store = PointStore(os.path.join(out_dir, "points"))
     done: list[dict] = []
     pending = 0
     for spec in specs:
         cached = store.load({"spec": spec.to_dict()})
-        if cached is _PENDING:
+        if cached is PENDING:
             pending += 1
         else:
             done.append(cached)

@@ -1,16 +1,17 @@
 """Simulation-as-a-service: shard sweep/campaign points across workers.
 
 This package turns the local toolkit — :func:`repro.bench.parallel.run_points`,
-the campaign runner and the digest-keyed memo cache — into a long-running
-service (see ``docs/serving.md``):
+the campaign runner and the content-keyed point store — into a
+long-running service (see ``docs/serving.md``):
 
 - :mod:`repro.serve.protocol` — the transport-agnostic worker protocol:
   length-prefixed JSON job/result/heartbeat frames over sockets, so
   points run on local processes today and remote hosts later;
 - :mod:`repro.serve.points` — the unit of work: point kinds (msgrate
-  sweep point, chaos scenario) and deterministic job expansion;
-- :mod:`repro.serve.cache` — the shared persistent result cache, keyed
-  by the canonical (point kind, parameters) JSON under a version string
+  sweep point, chaos scenario), deterministic job expansion, and the
+  result-cache record (:func:`~repro.serve.points.serve_record`) each
+  point is stored under in a :class:`repro.store.PointStore`, keyed by
+  the canonical (point kind, parameters) JSON under a version string
   that embeds the snapshot format versions;
 - :mod:`repro.serve.orchestrator` — the asyncio job queue/scheduler:
   shards points across workers, dedupes in-flight keys, serves warm
@@ -22,10 +23,15 @@ service (see ``docs/serving.md``):
   ``repro submit`` / ``repro jobs``.
 """
 
-from .cache import SERVE_CACHE_VERSION, ResultCache, cache_key
 from .client import ServeClient
 from .orchestrator import Job, Orchestrator, PointTask
-from .points import execute_point, expand_job, msgrate_point
+from .points import (
+    SERVE_CACHE_VERSION,
+    execute_point,
+    expand_job,
+    msgrate_point,
+    serve_record,
+)
 from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -39,8 +45,8 @@ from .worker import worker_main
 __all__ = [
     "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "read_frame",
     "write_frame",
-    "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
-    "execute_point", "expand_job", "msgrate_point",
+    "SERVE_CACHE_VERSION", "execute_point", "expand_job", "msgrate_point",
+    "serve_record",
     "Job", "Orchestrator", "PointTask",
     "ServeClient", "ServiceHandle", "run_service", "spawn_service",
     "worker_main",

@@ -9,6 +9,7 @@ import urllib.parse
 from typing import Any, Optional
 
 from ..errors import ServeError
+from ..store import canonical_json
 
 __all__ = ["ServeClient"]
 
@@ -41,9 +42,7 @@ class ServeClient:
             payload = None
             headers = {}
             if body is not None:
-                payload = json.dumps(body, sort_keys=True,
-                                     separators=(",", ":"),
-                                     default=str).encode("utf-8")
+                payload = canonical_json(body).encode("utf-8")
                 headers["Content-Type"] = "application/json"
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()

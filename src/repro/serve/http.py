@@ -31,6 +31,7 @@ from typing import Any, Optional
 import yaml
 
 from ..errors import JobTooLargeError, ServeError
+from ..store import canonical_json
 from .orchestrator import Orchestrator
 
 __all__ = ["HttpApi", "parse_job_document"]
@@ -99,8 +100,7 @@ class HttpApi:
         except (ConnectionError, asyncio.IncompleteReadError, ValueError,
                 asyncio.LimitOverrunError) as exc:
             status, doc = 400, {"error": f"bad request: {exc}"}
-        body = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          default=str).encode("utf-8")
+        body = canonical_json(doc).encode("utf-8")
         reasons = {200: "OK", 201: "Created", 400: "Bad Request",
                    404: "Not Found", 405: "Method Not Allowed",
                    409: "Conflict", 413: "Payload Too Large",
@@ -143,9 +143,7 @@ class HttpApi:
             return 200, orch.healthz()
         if path == "/metrics" and method == "GET":
             return 200, {"metrics": orch.metrics.snapshot(),
-                         "cache": {"hits": orch.cache.hits,
-                                   "misses": orch.cache.misses,
-                                   "stored": len(orch.cache)}}
+                         "cache": orch.cache_stats()}
         if path == "/shutdown" and method == "POST":
             self.shutdown_requested.set()
             return 200, {"ok": True, "shutting_down": True}

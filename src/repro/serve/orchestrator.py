@@ -6,9 +6,10 @@ the job manifests. Its contract mirrors the fork-pool executor's —
 results are byte-identical to an in-process :func:`run_points` run —
 plus the service properties the pool cannot offer:
 
-- **dedupe** — points are identified by their cache key
-  (:func:`repro.serve.cache.cache_key`); if two jobs (or a resubmitted
-  job) contain the same point, one execution serves every waiter.
+- **dedupe** — points are identified by the content key of their cache
+  record (:func:`repro.serve.points.serve_record`); if two jobs (or a
+  resubmitted job) contain the same point, one execution serves every
+  waiter.
 - **warm hits** — completed points persist in the result cache, so a
   resubmitted job is answered without running anything.
 - **requeue on worker death** — a worker that drops its socket or
@@ -40,8 +41,14 @@ from typing import Any, Optional
 
 from ..errors import ProtocolError, ServeError
 from ..obs.metrics import MetricsRegistry
-from .cache import PENDING, ResultCache, cache_key
-from .points import expand_job
+from ..store import (
+    PENDING,
+    PointStore,
+    canonical_json,
+    content_key,
+    write_atomic,
+)
+from .points import expand_job, serve_record
 from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -115,7 +122,7 @@ class Orchestrator:
         self.state_dir = state_dir
         self.jobs_dir = os.path.join(state_dir, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
-        self.cache = ResultCache(os.path.join(state_dir, "cache"))
+        self.cache = PointStore(os.path.join(state_dir, "cache"))
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
         self.metrics = MetricsRegistry(clock=time.monotonic)
@@ -197,28 +204,25 @@ class Orchestrator:
         point_kind, points = expand_job(kind, spec)  # raises on bad spec
         job_id = f"job-{self._next_id:05d}"
         self._next_id += 1
-        path = os.path.join(self.jobs_dir, f"{job_id}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"job_id": job_id, "kind": kind, "spec": spec},
-                      fh, sort_keys=True, separators=(",", ":"),
-                      default=str)
-        os.replace(tmp, path)
+        write_atomic(os.path.join(self.jobs_dir, f"{job_id}.json"),
+                     canonical_json({"job_id": job_id, "kind": kind,
+                                     "spec": spec}))
         self._register_job(job_id, kind, spec, point_kind, points)
         self.metrics.inc("serve.job.submitted")
         return job_id
 
     def _register_job(self, job_id: str, kind: str, spec: dict,
                       point_kind: str, points: list[dict]) -> None:
-        keys = [cache_key(point_kind, p) for p in points]
+        records = [serve_record(point_kind, p) for p in points]
+        keys = [content_key(record) for record in records]
         job = Job(job_id=job_id, kind=kind, spec=spec,
                   point_kind=point_kind, points=points, keys=keys,
                   results=[PENDING] * len(points),
                   submitted=time.monotonic())
         self.jobs[job_id] = job
         self._trace.setdefault(job_id, [])
-        for index, (key, point) in enumerate(zip(keys, points)):
-            cached = self.cache.load(point_kind, point)
+        for index, (key, record) in enumerate(zip(keys, records)):
+            cached = self.cache.load(record)
             if cached is not PENDING:
                 job.results[index] = cached
                 job.cache_hits += 1
@@ -227,13 +231,14 @@ class Orchestrator:
             self.metrics.inc("serve.cache.miss")
             task = self.tasks.get(key)
             if task is None or task.status == "failed":
-                task = PointTask(key=key, kind=point_kind, point=point)
+                task = PointTask(key=key, kind=point_kind,
+                                 point=record["point"])
                 self.tasks[key] = task
                 self._queue.put_nowait(key)
                 self.metrics.inc("serve.point.queued")
             elif task.status == "done":
-                # In-memory completion that predates cache persistence
-                # being enabled; serve it like a hit.
+                # Completed in this process but gone from the store
+                # (its file was removed); serve it like a hit.
                 job.results[index] = task.result
                 job.cache_hits += 1
                 continue
@@ -333,7 +338,7 @@ class Orchestrator:
         now = time.monotonic()
         task.status = "done"
         task.result = result
-        self.cache.save(task.kind, task.point, result)
+        self.cache.save(serve_record(task.kind, task.point), result)
         self.metrics.inc("serve.point.done")
         self.metrics.observe("serve.point.host_sec", now - started)
         event = {"name": task.kind, "cat": "serve", "ph": "X",
@@ -437,6 +442,10 @@ class Orchestrator:
                             for name, info in sorted(self.workers.items())},
                 "jobs": len(self.jobs),
                 "queue_depth": self._queue.qsize(),
-                "cache": {"hits": self.cache.hits,
-                          "misses": self.cache.misses,
-                          "stored": len(self.cache)}}
+                "cache": self.cache_stats()}
+
+    def cache_stats(self) -> dict[str, int]:
+        """Result-cache lookups (hits, misses) and stored point count."""
+        return {"hits": int(self.metrics.value("serve.cache.hit")),
+                "misses": int(self.metrics.value("serve.cache.miss")),
+                "stored": len(self.cache)}

@@ -35,17 +35,33 @@ import math
 import time
 from typing import Any, Callable
 
+from ..bench.memo import MEMO_VERSION
 from ..bench.msgrate import MsgRateConfig, run_msgrate
 from ..errors import JobTooLargeError, MpiUsageError, ServeError
+from ..store import json_roundtrip
 
-__all__ = ["POINT_KINDS", "JOB_KINDS", "MAX_JOB_POINTS", "execute_point",
-           "expand_job", "msgrate_point", "scenario_point",
-           "selftest_point"]
+__all__ = ["POINT_KINDS", "JOB_KINDS", "MAX_JOB_POINTS",
+           "SERVE_CACHE_VERSION", "execute_point", "expand_job",
+           "msgrate_point", "scenario_point", "selftest_point",
+           "serve_record"]
+
+#: Result-cache version: embeds the memo/SNAP/STATE format versions, so a
+#: format bump anywhere below invalidates every served result at once
+#: (stale records never match again).
+SERVE_CACHE_VERSION = f"serve1-{MEMO_VERSION}"
 
 
-def _json_roundtrip(result: Any) -> Any:
-    from ..bench.memo import json_roundtrip
-    return json_roundtrip(result)
+def serve_record(kind: str, point: dict) -> dict:
+    """The result-cache record of one served point.
+
+    Its :func:`~repro.store.content_key` names the point's file in the
+    service's :class:`~repro.store.PointStore` and is the orchestrator's
+    dedupe identity: two points share it only if their canonical
+    ``(version, kind, parameters)`` JSON is byte-identical, in which case
+    they *are* the same simulation.
+    """
+    return {"kind": "serve-result", "version": SERVE_CACHE_VERSION,
+            "point_kind": kind, "point": point}
 
 
 def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
@@ -99,7 +115,7 @@ def execute_point(kind: str, point: dict) -> Any:
     if fn is None:
         raise ServeError(f"unknown point kind {kind!r} "
                          f"(known: {', '.join(sorted(POINT_KINDS))})")
-    return _json_roundtrip(fn(**point))
+    return json_roundtrip(fn(**point))
 
 
 # -- job expansion ---------------------------------------------------------
@@ -244,4 +260,4 @@ def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:
         raise ServeError(f"job spec must be a mapping, got "
                          f"{type(spec).__name__}")
     point_kind, points = expander(spec)
-    return point_kind, [_json_roundtrip(p) for p in points]
+    return point_kind, [json_roundtrip(p) for p in points]

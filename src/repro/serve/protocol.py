@@ -34,6 +34,7 @@ import struct
 from typing import Any, Optional
 
 from ..errors import ProtocolError
+from ..store import canonical_json
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FrameDecoder",
@@ -56,8 +57,7 @@ _HEADER = struct.Struct(">I")
 
 def encode_frame(frame: dict) -> bytes:
     """Serialize one frame: 4-byte length prefix + canonical JSON."""
-    payload = json.dumps(frame, sort_keys=True, separators=(",", ":"),
-                         default=str).encode("utf-8")
+    payload = canonical_json(frame).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "

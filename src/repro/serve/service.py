@@ -14,9 +14,10 @@ CPUs unless ``oversubscribe=True`` — on the 1-CPU CI host, extra
 workers only add dispatch overhead.
 
 :func:`spawn_service` forks the service into a child process and waits
-for the discovery file, returning a :class:`ServiceHandle` that tests
-use to ``kill -9`` the service (crash-resume) or individual workers
-(requeue), then restart on the same ``state_dir``.
+for the discovery file and for the workers it announces to attach,
+returning a :class:`ServiceHandle` that tests use to ``kill -9`` the
+service (crash-resume) or individual workers (requeue), then restart on
+the same ``state_dir``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Any, Callable, Optional
 
 from ..bench.parallel import auto_jobs
 from ..errors import ServeError
+from ..store import write_atomic
 from .client import ServeClient
 from .http import HttpApi
 from .orchestrator import Orchestrator
@@ -41,15 +43,6 @@ from .worker import spawn_worker
 __all__ = ["ServiceHandle", "run_service", "spawn_service"]
 
 _DISCOVERY = "serve.json"
-
-
-def _write_discovery(state_dir: str, doc: dict) -> str:
-    path = os.path.join(state_dir, _DISCOVERY)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
-    return path
 
 
 async def _serve(state_dir: str, workers: Optional[int],
@@ -67,8 +60,9 @@ async def _serve(state_dir: str, workers: Optional[int],
     procs = [spawn_worker(host, worker_port, f"w{next(seq)}", heartbeat)
              for _ in range(n)]
     url = f"http://{host}:{port}"
-    _write_discovery(state_dir, {"url": url, "pid": os.getpid(),
-                                 "worker_port": worker_port, "workers": n})
+    write_atomic(os.path.join(state_dir, _DISCOVERY), json.dumps(
+        {"url": url, "pid": os.getpid(), "worker_port": worker_port,
+         "workers": n}, sort_keys=True))
     announce(f"serving on {url} ({n} worker(s), state={state_dir})")
 
     async def supervise() -> None:
@@ -166,12 +160,13 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
                   oversubscribe: bool = False, heartbeat: float = 0.5,
                   heartbeat_timeout: float = 5.0,
                   timeout: float = 30.0) -> ServiceHandle:
-    """Fork :func:`run_service` and wait for its discovery file.
+    """Fork :func:`run_service` and wait until its workers are attached.
 
-    Returns once ``state_dir/serve.json`` names the child's URL, so the
-    caller can immediately submit jobs. Raises
-    :class:`~repro.errors.ServeError` if the child dies or the file
-    does not appear within ``timeout`` seconds.
+    Returns once ``state_dir/serve.json`` names the child's URL *and*
+    ``/healthz`` lists as many attached workers as that file announces,
+    so the caller can immediately submit jobs or count worker pids.
+    Raises :class:`~repro.errors.ServeError` if the child dies or is not
+    ready within ``timeout`` seconds.
     """
     os.makedirs(state_dir, exist_ok=True)
     discovery = os.path.join(state_dir, _DISCOVERY)
@@ -192,20 +187,32 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
         name="repro-serve", daemon=False)
     proc.start()
     deadline = time.monotonic() + timeout
+    handle: Optional[ServiceHandle] = None
+    workers_announced = 0
     while time.monotonic() < deadline:
-        doc: Optional[dict[str, Any]] = None
-        try:
-            with open(discovery, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            doc = None  # not written (or mid-write) yet
-        if doc and doc.get("pid") == proc.pid and doc.get("url"):
-            return ServiceHandle(state_dir=state_dir, url=doc["url"],
-                                 pid=proc.pid, proc=proc)
+        if handle is None:
+            doc: Optional[dict[str, Any]] = None
+            try:
+                with open(discovery, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except (OSError, ValueError):
+                doc = None  # not written (or mid-write) yet
+            if doc and doc.get("pid") == proc.pid and doc.get("url"):
+                handle = ServiceHandle(state_dir=state_dir, url=doc["url"],
+                                       pid=proc.pid, proc=proc)
+                workers_announced = int(doc.get("workers", 0))
+        if handle is not None:
+            # Workers attach after serve.json is written: wait for them.
+            try:
+                healthz = handle.client().healthz()
+                if len(healthz["workers"]) >= workers_announced:
+                    return handle
+            except ServeError:
+                pass  # not answering; the liveness check below decides
         if not proc.is_alive():
             raise ServeError(
                 f"service process died during startup "
                 f"(exitcode {proc.exitcode})")
-        time.sleep(0.02)
+        time.sleep(0.005)
     proc.terminate()
     raise ServeError(f"service did not become ready in {timeout}s")

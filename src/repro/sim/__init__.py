@@ -27,7 +27,6 @@ from .resources import FIFOServer, ServerStats
 from .sync import Barrier, ContentionStats, Gate, Lock, Mailbox, Semaphore
 from .trace import (
     Category,
-    NullTracer,
     SpanPairing,
     TraceCategory,
     TraceRecord,
@@ -48,7 +47,6 @@ __all__ = [
     "Gate",
     "Lock",
     "Mailbox",
-    "NullTracer",
     "Process",
     "RandomStreams",
     "Semaphore",

@@ -16,11 +16,11 @@ byte-for-byte in tests.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import SnapshotFormatError
+from ..store import write_atomic
 from .state import STATE_FORMAT_VERSION, capture_state, state_digest
 
 __all__ = ["SNAP_VERSION", "Snapshot", "take_snapshot", "save_snapshot",
@@ -72,10 +72,8 @@ def save_snapshot(snap: Snapshot, path: str) -> str:
         "recipe": snap.recipe,
         "state": snap.state,
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")))
     return path
 
 

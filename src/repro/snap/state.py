@@ -375,7 +375,7 @@ def _topology_state(topology: Any) -> Optional[dict[str, Any]]:
 
     ``None`` for direct (single-hop) worlds, keeping their trees — and
     digests — identical whether built through ``ClusterSpec`` or the
-    legacy ``cfg=`` path.
+    bare dimension keywords.
     """
     if topology is None:
         return None

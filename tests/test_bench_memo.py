@@ -16,7 +16,7 @@ import pytest
 from repro.bench.memo import (MEMO_VERSION, MemoStats, WarmPrefixExecutor,
                               fig1a_executor)
 from repro.bench.msgrate import warm_msgrate
-from repro.scenarios.executor import run_scenario, run_scenarios
+from repro.scenarios.executor import run_scenarios
 from repro.scenarios.sample import sample_scenarios
 from repro.snap import SNAP_VERSION, STATE_FORMAT_VERSION
 
@@ -131,20 +131,6 @@ def test_forked_tail_error_propagates():
                             digest_fn=lambda s: f"d{s}")
     with pytest.raises(RuntimeError, match="boom in child"):
         ex.run([{"x": 0, "y": 1}, {"x": 0, "y": 2}])
-
-
-def test_scenarios_memoized_executor(tmp_path):
-    specs = sample_scenarios(5, 4)
-    cache = str(tmp_path / "scen")
-    cold, warm = MemoStats(), MemoStats()
-    first = run_scenarios(specs, cache_dir=cache, stats=cold)
-    second = run_scenarios(specs, cache_dir=cache, stats=warm)
-    plain = [json.loads(json.dumps(run_scenario(s), default=str))
-             for s in specs]
-    assert first == second == plain
-    assert cold.warmups_simulated == len(specs)
-    assert warm.warmups_simulated == 0
-    assert warm.result_hits == len(specs)
 
 
 def test_scenarios_memo_results_in_spec_order():

@@ -1,12 +1,14 @@
 """Property battery: the serve result cache never lies.
 
-The cache's contract (mirroring ``test_bench_memo.py`` for the warm-
-prefix memo): (1) a hit returns the byte-identical JSON document that
-was saved — for ANY point shape Hypothesis can draw; (2) distinct
-(kind, point) pairs never collide — loading one never returns the
-other's result, even across hash-adjacent parameter dicts; (3) bumping
-:data:`SERVE_CACHE_VERSION` invalidates every stored result at once
-(stale keys simply never match again).
+The service stores each result in a :class:`repro.store.PointStore`
+under its :func:`repro.serve.points.serve_record`. The contract
+(mirroring ``test_bench_memo.py`` for the warm-prefix memo): (1) a hit
+returns the byte-identical JSON document that was saved — for ANY point
+shape Hypothesis can draw; (2) distinct (kind, point) pairs never
+collide — loading one never returns the other's result, even across
+hash-adjacent parameter dicts; (3) bumping :data:`SERVE_CACHE_VERSION`
+invalidates every stored result at once (stale keys simply never match
+again).
 """
 
 import json
@@ -14,7 +16,8 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.cache import PENDING, ResultCache, cache_key
+from repro.serve.points import serve_record
+from repro.store import PENDING, PointStore, content_key
 
 SETTINGS = settings(max_examples=50, deadline=None,
                     suppress_health_check=[
@@ -52,12 +55,13 @@ def _canon(doc):
 @given(kind=kinds, point=points, result=results)
 def test_hit_returns_byte_identical_result(tmp_path_factory, kind, point,
                                            result):
-    cache = ResultCache(str(tmp_path_factory.mktemp("cache")))
-    assert cache.load(kind, point) is PENDING  # cold
-    cache.save(kind, point, result)
-    loaded = cache.load(kind, point)
+    cache = PointStore(str(tmp_path_factory.mktemp("cache")))
+    record = serve_record(kind, point)
+    assert cache.load(record) is PENDING  # cold
+    cache.save(record, result)
+    loaded = cache.load(record)
     assert _canon(loaded) == _canon(json.loads(_canon(result)))
-    assert cache.hits == 1 and cache.misses == 1
+    assert len(cache) == 1
 
 
 @SETTINGS
@@ -67,16 +71,18 @@ def test_distinct_points_never_collide(tmp_path_factory, kind_a, point_a,
                                        kind_b, point_b, result_a, result_b):
     # Identity is the canonical JSON of (version, kind, point): only
     # byte-identical parameter documents share a key.
-    same = cache_key(kind_a, point_a) == cache_key(kind_b, point_b)
+    record_a = serve_record(kind_a, point_a)
+    record_b = serve_record(kind_b, point_b)
+    same = content_key(record_a) == content_key(record_b)
     assert same == ((kind_a, _canon(point_a)) == (kind_b, _canon(point_b)))
 
-    cache = ResultCache(str(tmp_path_factory.mktemp("cache")))
-    cache.save(kind_a, point_a, result_a)
-    cache.save(kind_b, point_b, result_b)
-    loaded_b = cache.load(kind_b, point_b)
+    cache = PointStore(str(tmp_path_factory.mktemp("cache")))
+    cache.save(record_a, result_a)
+    cache.save(record_b, result_b)
+    loaded_b = cache.load(record_b)
     assert _canon(loaded_b) == _canon(json.loads(_canon(result_b)))
     if not same:
-        loaded_a = cache.load(kind_a, point_a)
+        loaded_a = cache.load(record_a)
         assert _canon(loaded_a) == _canon(json.loads(_canon(result_a)))
         assert len(cache) == 2  # one file per point, neither clobbered
 
@@ -87,22 +93,14 @@ def test_version_bump_invalidates_everything(tmp_path_factory, kind, point,
                                              result):
     from unittest import mock
 
-    import repro.serve.cache as cache_mod
+    import repro.serve.points as points_mod
 
-    cache_dir = str(tmp_path_factory.mktemp("cache"))
-    ResultCache(cache_dir).save(kind, point, result)
+    cache = PointStore(str(tmp_path_factory.mktemp("cache")))
+    cache.save(serve_record(kind, point), result)
     # Patch inside the example (a monkeypatch fixture would stay applied
     # across Hypothesis examples, poisoning later saves too).
-    with mock.patch.object(cache_mod, "SERVE_CACHE_VERSION", "serve0-other"):
-        stale = ResultCache(cache_dir)
-        assert stale.load(kind, point) is PENDING
-        assert stale.hits == 0 and stale.misses == 1
-    warm = ResultCache(cache_dir)
-    assert warm.load(kind, point) is not PENDING  # original version still hits
-
-
-def test_disabled_cache_always_misses():
-    cache = ResultCache(None)
-    cache.save("selftest", {"i": 1}, {"v": 1})
-    assert cache.load("selftest", {"i": 1}) is PENDING
-    assert len(cache) == 0
+    with mock.patch.object(points_mod, "SERVE_CACHE_VERSION",
+                           "serve0-other"):
+        assert cache.load(serve_record(kind, point)) is PENDING
+    # The original version still hits.
+    assert cache.load(serve_record(kind, point)) is not PENDING

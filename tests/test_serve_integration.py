@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.bench.memo import json_roundtrip
+from repro.store import json_roundtrip
 from repro.bench.parallel import run_points
 from repro.scenarios.executor import run_scenarios
 from repro.scenarios.sample import sample_scenarios

@@ -122,7 +122,7 @@ def test_http_answers_413_for_a_job_above_the_cap(tmp_path, monkeypatch,
     # Every path from a counted job to its point list goes through one
     # of these; none may run.
     monkeypatch.setattr(points_module.itertools, "product", no_points)
-    monkeypatch.setattr(points_module, "_json_roundtrip", no_points)
+    monkeypatch.setattr(points_module, "json_roundtrip", no_points)
     monkeypatch.setattr("repro.scenarios.sample.sample_scenarios",
                         no_points)
     api = HttpApi(Orchestrator(str(tmp_path)))

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.bench.parallel import point_key, run_points
+from repro.bench.parallel import run_points
 from repro.bench.sweep import Sweep
 from repro.cli import main
 from repro.errors import SnapshotFormatError, SnapshotMismatchError
@@ -36,6 +36,7 @@ from repro.snap import (
     take_snapshot,
 )
 from repro.snap.fork import ForkCheckpoints, fork_available
+from repro.store import content_key as point_key
 
 
 def pingpong_world(seed=0, nmsg=8, threads=2, metrics=None, tracer=None,

@@ -15,7 +15,6 @@ from repro.mpi.coll.select import COLL_ALGORITHMS, validate_selection
 from repro.mpi.info import Info, parse_comm_hints
 from repro.netsim import (
     ClusterSpec,
-    NetworkConfig,
     Topology,
     dragonfly,
     fat_tree,
@@ -66,17 +65,13 @@ def crisscross_world(make_world, nmsg=6, elems=512):
 
 def test_direct_topology_byte_identical_to_legacy_fabric():
     """Acceptance: equal state digests on the fig1a-style workload."""
-    net = NetworkConfig.omnipath()
-
     def legacy():
-        with pytest.warns(DeprecationWarning, match="World.cfg"):
-            return World(num_nodes=2, procs_per_node=1, threads_per_proc=3,
-                         cfg=net, seed=3)
+        return World(num_nodes=2, procs_per_node=1, threads_per_proc=3,
+                     seed=3)
 
     def direct():
         return World(cluster=ClusterSpec(nodes=2, threads_per_proc=3,
-                                         topology="direct", network=net),
-                     seed=3)
+                                         topology="direct"), seed=3)
 
     d_legacy = state_digest(capture_state(crisscross_world(legacy)))
     d_direct = state_digest(capture_state(crisscross_world(direct)))
@@ -100,18 +95,6 @@ def test_routed_topology_changes_timing_not_results():
 
 
 # -------------------------------------------------------- ClusterSpec
-
-def test_cfg_shim_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-        w = World(num_nodes=2, procs_per_node=1, cfg=NetworkConfig())
-    assert w.cluster.topology == "direct"
-    assert w.topology is None
-
-
-def test_cluster_and_cfg_are_mutually_exclusive():
-    with pytest.raises(MpiUsageError, match="cluster"):
-        World(cluster=ClusterSpec(nodes=2), cfg=NetworkConfig())
-
 
 def test_cluster_and_explicit_dims_are_mutually_exclusive():
     with pytest.raises(MpiUsageError, match="ClusterSpec"):
